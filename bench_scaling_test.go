@@ -210,41 +210,12 @@ func BenchmarkMSGChainChurn(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*hosts*perHost), "ns/chain")
 }
 
-// BenchmarkMSGScalingParallelSolve pins the parallel component solve on
-// a multi-island MSG workload (many disjoint pairs are many independent
-// components): sequential forces workers=1, parallel uses GOMAXPROCS
-// unless -solver-workers pins the pool size.
-func BenchmarkMSGScalingParallelSolve(b *testing.B) {
-	const pairs, rounds = 2000, 10
-	pf := msgScalingPlatform(b, pairs, false)
-	for _, mode := range []string{"sequential", "parallel"} {
-		b.Run(mode, func(b *testing.B) {
-			cfg := surf.DefaultConfig()
-			if mode == "sequential" {
-				cfg.SolverWorkers = 1
-			} else {
-				cfg.SolverWorkers = *solverWorkers
-			}
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				env := buildScalingEnv(b, pf, pairs, rounds, false, cfg)
-				if err := env.Run(); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*2*pairs*rounds), "ns/activity")
-		})
-	}
-}
-
 // BenchmarkMSGScalingLockstep is the same-instant completion workload:
 // every pair is identical, so each round's transfers (and then each
 // round's computes) all finish at the exact same virtual time — the
-// worst case for per-completion event processing. `batched` uses the
-// equal-key bulk-pop of the action heap plus the contiguous wake sweep;
-// `per-completion` (Config.SequentialCompletions) pops and wakes one
-// action at a time. Both paths produce the identical event order
-// (TestLockstepBatchedEquivalence); only the cost differs.
+// worst case for per-completion event processing, where every due
+// action is one heap pop and one wake (TestLockstepCompletionOrder
+// pins the resulting wake order).
 func BenchmarkMSGScalingLockstep(b *testing.B) {
 	cases := []struct {
 		name   string
@@ -255,26 +226,22 @@ func BenchmarkMSGScalingLockstep(b *testing.B) {
 		{"pairs-5000", 5000, 10},
 	}
 	for _, c := range cases {
-		for _, mode := range []string{"batched", "per-completion"} {
-			activities := 2 * c.pairs * c.rounds
-			b.Run(fmt.Sprintf("%s/%s", c.name, mode), func(b *testing.B) {
-				if testing.Short() && activities > 20000 {
-					b.Skipf("skipping %d activities under -short", activities)
+		activities := 2 * c.pairs * c.rounds
+		b.Run(c.name, func(b *testing.B) {
+			if testing.Short() && activities > 20000 {
+				b.Skipf("skipping %d activities under -short", activities)
+			}
+			pf := msgScalingPlatform(b, c.pairs, false)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				env := buildScalingEnv(b, pf, c.pairs, c.rounds, false, surf.DefaultConfig())
+				if err := env.Run(); err != nil {
+					b.Fatal(err)
 				}
-				pf := msgScalingPlatform(b, c.pairs, false)
-				cfg := surf.DefaultConfig()
-				cfg.SequentialCompletions = mode == "per-completion"
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					env := buildScalingEnv(b, pf, c.pairs, c.rounds, false, cfg)
-					if err := env.Run(); err != nil {
-						b.Fatal(err)
-					}
-				}
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*activities), "ns/activity")
-			})
-		}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*activities), "ns/activity")
+		})
 	}
 }
 

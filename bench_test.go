@@ -317,36 +317,6 @@ func benchMaxMinFlowChurn(b *testing.B, nFlows int, fullRecompute bool) {
 	}
 }
 
-// BenchmarkMaxMinParallelSolve measures the parallel component solve on
-// a full recompute of the island federation (the multi-island platform
-// case): every island is an independent component, so the progressive
-// filling of the whole system fans out across the worker pool.
-// workers-1 is the sequential baseline; the second lane uses GOMAXPROCS
-// workers, or the pool size pinned by -solver-workers.
-func BenchmarkMaxMinParallelSolve(b *testing.B) {
-	for _, n := range []int{1000, 10000} {
-		for _, workers := range []int{1, *solverWorkers} {
-			mode := "workers-auto"
-			switch {
-			case workers == 1:
-				mode = "workers-1"
-			case workers > 0:
-				mode = fmt.Sprintf("workers-%d", workers)
-			}
-			b.Run(fmt.Sprintf("flows-%d/%s", n, mode), func(b *testing.B) {
-				cb := newMaxMinFlowChurn(b, n)
-				cb.sys.SetWorkers(workers)
-				cb.sys.Solve()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					cb.sys.InvalidateAll()
-					cb.sys.Solve()
-				}
-			})
-		}
-	}
-}
-
 // benchMaxMinComputeChurn mirrors BenchmarkKernelProcessChurn at the
 // solver level: nHosts CPUs each running a few tasks, with a handful of
 // tasks finishing and spawning per step (every host is its own

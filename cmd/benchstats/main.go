@@ -216,7 +216,6 @@ func msgReport(small bool) sweep.TierReport {
 			GoroutineSpawns: eng.GoroutineSpawns(),
 			GoroutinesPeak:  eng.GoroutinesPeak(),
 			SolverSolves:    solver.Solves,
-			SolverParallel:  solver.ParallelSolves,
 			Pools:           msgPools(last),
 		})
 		fmt.Printf("%-22s %-10s %8.3f us/activity  %8d allocs/op  peak %d goroutines\n",
@@ -272,7 +271,6 @@ func simdagReport(small bool) sweep.TierReport {
 			GoroutineSpawns: eng.GoroutineSpawns(),
 			GoroutinesPeak:  eng.GoroutinesPeak(),
 			SolverSolves:    solver.Solves,
-			SolverParallel:  solver.ParallelSolves,
 			Pools:           modelPools(last.Model()),
 		})
 		fmt.Printf("%-22s %-10s %8.3f us/task      %8d allocs/op  peak %d goroutines\n",

@@ -516,26 +516,6 @@ func (e *Engine) Wake(p *Process, err error) {
 	e.runQ = append(e.runQ, p)
 }
 
-// WakeAll wakes every process in ps with the same error in one
-// bookkeeping pass: the run queue is grown once and the waiters are
-// appended contiguously, so k same-instant completions cost a single
-// scheduling sweep instead of k interleaved wake/scan cycles. Resource
-// models batching same-instant completions (surf.Model.AdvanceTo) use
-// this for their waiters.
-func (e *Engine) WakeAll(ps []*Process, err error) {
-	if len(ps) == 0 {
-		return
-	}
-	if need := len(e.runQ) + len(ps); cap(e.runQ) < need {
-		grown := make([]*Process, len(e.runQ), need)
-		copy(grown, e.runQ)
-		e.runQ = grown
-	}
-	for _, p := range ps {
-		e.Wake(p, err)
-	}
-}
-
 // Kill forcibly terminates the target process. A process killing itself
 // unwinds immediately; killing another process takes effect the next
 // time that process is scheduled (its pending simcall aborts).

@@ -93,7 +93,7 @@ func (p *Process) Simcall() SimcallKind { return p.call }
 // the typed wait-activity simcall (surf.Action is the canonical
 // implementation). The kernel needs only completion polling — the fast
 // path — and waiter registration; the activity's owner delivers the
-// completion through Engine.Wake or Engine.WakeAll.
+// completion through Engine.Wake.
 type Activity interface {
 	// Poll reports whether the activity already completed and, if so,
 	// its outcome. It must not block or mutate simulation state.

@@ -48,10 +48,7 @@ func DefaultConfig() *Config {
 
 		// The only sanctioned goroutine spawn site on kernel paths:
 		// worker creation in the core pool (Engine.Spawn now grabs a
-		// pooled worker and falls back to newWorker). (The maxmin
-		// parallel-solve worker pool carries an inline allow annotation
-		// instead — it is an explicitly justified exception, not a
-		// standing grant.)
+		// pooled worker and falls back to newWorker).
 		GoroutineAllow: map[string]bool{
 			"repro/internal/core.newWorker": true,
 			// Campaign fanout workers in the sweep harness: host-side

@@ -26,16 +26,10 @@
 // Solve reports the variables whose allocation actually changed via
 // Updated, letting callers refresh only the affected activities.
 //
-// Because max-min fairness decomposes exactly per connected component,
-// the dirty components are also independent solving units: when the
-// dirty scope is large enough, Solve dispatches them to a bounded
-// worker pool (SetWorkers, default GOMAXPROCS) and merges the results,
-// which is bit-identical to solving them sequentially.
-//
 // All per-solve bookkeeping (weighted loads, the active set, the
 // component worklist) lives in scratch slices reused across solves, so
-// a steady-state sequential re-solve performs no heap allocation. The
-// same holds for the activity churn itself: RemoveVariable scrubs and
+// a steady-state re-solve performs no heap allocation. The same holds
+// for the activity churn itself: RemoveVariable scrubs and
 // free-lists the Variable and its constraint elements, and
 // NewVariable/Expand reuse them, so the add/solve/remove cycle of a
 // simulated activity is allocation-free at steady state (disable with
@@ -46,11 +40,8 @@ package maxmin
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
 )
 
 // Variable is one activity receiving an allocation. Create variables
@@ -131,20 +122,15 @@ type System struct {
 
 	visitGen uint64 // current component-walk generation
 
-	// workers bounds the pool used to solve independent components in
-	// parallel; 0 means GOMAXPROCS, 1 forces sequential solving.
-	workers int
-
 	// Scratch storage reused across solves (no steady-state allocation).
-	loads        []float64 // weighted load per constraint, indexed by Constraint.idx
-	solveVars    []*Variable
-	solveCnsts   []*Constraint
-	comps        []component
-	active       []*Variable
-	workerActive [][]*Variable // per-worker active-set scratch
-	oldVals      []float64     // pre-solve values of solveVars, for Updated
-	updated      []*Variable
-	queue        []*Constraint // component-walk worklist
+	loads      []float64 // weighted load per constraint, indexed by Constraint.idx
+	solveVars  []*Variable
+	solveCnsts []*Constraint
+	comps      []component
+	active     []*Variable
+	oldVals    []float64 // pre-solve values of solveVars, for Updated
+	updated    []*Variable
+	queue      []*Constraint // component-walk worklist
 
 	// Free lists for the activity churn (see "Object lifecycle &
 	// pooling" in DESIGN.md): RemoveVariable recycles the variable and
@@ -163,21 +149,6 @@ type System struct {
 
 // NewSystem returns an empty linear MaxMin system.
 func NewSystem() *System { return &System{} }
-
-// SetWorkers bounds the worker pool used to solve independent dirty
-// components in parallel. n == 1 forces sequential solving; n <= 0
-// restores the default (GOMAXPROCS). Small solve scopes are always
-// solved sequentially regardless of this setting, since the dispatch
-// overhead would dominate.
-func (s *System) SetWorkers(n int) {
-	if n <= 0 {
-		n = 0
-	}
-	s.workers = n
-}
-
-// Workers returns the configured worker bound (0 = GOMAXPROCS).
-func (s *System) Workers() int { return s.workers }
 
 func (s *System) touchVar(v *Variable) {
 	if v.dirtyQ < 0 {
@@ -473,10 +444,10 @@ func (s *System) Solve() {
 // collectScope fills s.solveVars/s.solveCnsts with the members of every
 // connected component containing a dirty element (or the whole system
 // when allDirty), clearing the dirty queues. Each component is laid out
-// contiguously and its ranges recorded in s.comps, so components can be
-// solved independently (and in parallel). The walk is expressed as
-// methods on scratch fields, not closures: collectScope runs on every
-// solve, and escaping closures here would be a per-step allocation.
+// contiguously and its ranges recorded in s.comps, so components are
+// solved independently. The walk is expressed as methods on scratch
+// fields, not closures: collectScope runs on every solve, and escaping
+// closures here would be a per-step allocation.
 func (s *System) collectScope() {
 	s.solveVars = s.solveVars[:0]
 	s.solveCnsts = s.solveCnsts[:0]
@@ -554,32 +525,8 @@ func (s *System) walkComponentFrom(v *Variable, c *Constraint) {
 	}
 }
 
-// minParallelComponents / minParallelScopeVars gate the parallel
-// dispatch: below these scope sizes the per-solve goroutine spawn cost
-// exceeds the solving work and the sequential path wins.
-const (
-	minParallelComponents = 4
-	minParallelScopeVars  = 256
-)
-
-// parallelism decides how many workers to use for the current scope.
-func (s *System) parallelism() int {
-	w := s.workers
-	if w == 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if w <= 1 || len(s.comps) < minParallelComponents || len(s.solveVars) < minParallelScopeVars {
-		return 1
-	}
-	if w > len(s.comps) {
-		w = len(s.comps)
-	}
-	return w
-}
-
-// solve re-runs progressive filling on the dirty components — in
-// parallel when the scope is large enough — and records which variables
-// changed value.
+// solve re-runs progressive filling on the dirty components and
+// records which variables changed value.
 func (s *System) solve() {
 	s.collectScope()
 	sv, sc := s.solveVars, s.solveCnsts
@@ -607,16 +554,11 @@ func (s *System) solve() {
 	}
 	s.oldVals = oldVals
 
-	if workers := s.parallelism(); workers > 1 {
-		s.stats.ParallelSolves++
-		s.solveParallel(workers, loads)
-	} else {
-		active := s.active
-		for _, cr := range s.comps {
-			active = solveComponent(sv[cr.v0:cr.v1], sc[cr.c0:cr.c1], loads, active[:0])
-		}
-		s.active = active[:0]
+	active := s.active
+	for _, cr := range s.comps {
+		active = solveComponent(sv[cr.v0:cr.v1], sc[cr.c0:cr.c1], loads, active[:0])
 	}
+	s.active = active[:0]
 
 	// Report variables whose allocation changed.
 	updated := s.updated[:0]
@@ -628,45 +570,11 @@ func (s *System) solve() {
 	s.updated = updated
 }
 
-// solveParallel dispatches the collected components to a pool of
-// workers pulling from a shared index. Components only ever touch their
-// own variables, constraints and loads[] entries (constraint indices
-// are disjoint across components), so workers share no mutable state
-// beyond the claim counter; the merged result is bit-identical to the
-// sequential order.
-func (s *System) solveParallel(workers int, loads []float64) {
-	sv, sc, comps := s.solveVars, s.solveCnsts, s.comps
-	if len(s.workerActive) < workers {
-		s.workerActive = append(s.workerActive, make([][]*Variable, workers-len(s.workerActive))...)
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		//lint:allow det-goroutine bounded worker pool over disjoint components; the merged result is bit-identical to the sequential solve
-		go func(w int) {
-			defer wg.Done()
-			active := s.workerActive[w]
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(comps) {
-					break
-				}
-				cr := comps[i]
-				active = solveComponent(sv[cr.v0:cr.v1], sc[cr.c0:cr.c1], loads, active[:0])
-			}
-			s.workerActive[w] = active[:0]
-		}(w)
-	}
-	wg.Wait()
-}
-
 // solveComponent runs progressive filling on one connected component
 // (sv/sc are the component's members) and stores values and usage on
 // its variables and constraints. loads is the system-wide
-// constraint-indexed scratch (components touch disjoint entries);
-// active is the caller's scratch for the active set, returned for
-// reuse.
+// constraint-indexed scratch; active is the caller's scratch for the
+// active set, returned for reuse.
 func solveComponent(sv []*Variable, sc []*Constraint, loads []float64, active []*Variable) []*Variable {
 	// Reset scope state; variables on a zero-capacity constraint (shared
 	// or fatpipe alike) are fixed at 0 immediately.

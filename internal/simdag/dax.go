@@ -54,7 +54,9 @@ type daxChild struct {
 // control dependencies from the <child>/<parent> declarations, and
 // Seq tasks "root"/"end" wired to the workflow's sources and sinks.
 // Every task is returned NotScheduled (comm tasks get their endpoints
-// from the scheduler once the computes are placed).
+// from the scheduler once the computes are placed). A NaN, infinite or
+// negative runtime or file size fails with ErrBadSize naming the job
+// and file.
 func LoadDAX(s *Simulation, r io.Reader) ([]*Task, error) {
 	var doc daxAdag
 	if err := xml.NewDecoder(r).Decode(&doc); err != nil {
@@ -83,10 +85,18 @@ func LoadDAX(s *Simulation, r io.Reader) ([]*Task, error) {
 		if j.Name != "" {
 			name = j.Name + "_" + j.ID
 		}
-		t := s.NewTask(name, j.Runtime*DAXReferenceFlops)
+		// Checking the product also catches a runtime whose flops overflow.
+		flops := j.Runtime * DAXReferenceFlops
+		if !validSize(flops) {
+			return nil, fmt.Errorf("%w: DAX job %q runtime %g", ErrBadSize, j.ID, j.Runtime)
+		}
+		t := s.NewTask(name, flops)
 		byID[j.ID] = t
 		tasks = append(tasks, t)
 		for _, u := range j.Uses {
+			if !validSize(u.Size) {
+				return nil, fmt.Errorf("%w: DAX job %q file %q size %g", ErrBadSize, j.ID, u.File, u.Size)
+			}
 			if strings.EqualFold(u.Link, "output") {
 				if _, dup := producers[u.File]; !dup {
 					producers[u.File] = j

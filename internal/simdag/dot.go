@@ -13,14 +13,17 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 )
 
 // LoadDOT parses a DOT digraph and instantiates it: one compute task
 // per node (flops from the node's size attribute, 0 when absent), a
-// comm task per sized edge, a direct dependency per bare edge. Tasks
-// are returned in declaration order, NotScheduled.
+// comm task per sized edge, a direct dependency per bare edge (or one
+// of size 0). Tasks are returned in declaration order, NotScheduled.
+// A NaN, infinite or negative size fails with ErrBadSize naming the
+// node or edge.
 func LoadDOT(s *Simulation, r io.Reader) ([]*Task, error) {
 	raw, err := io.ReadAll(r)
 	if err != nil {
@@ -69,6 +72,9 @@ func LoadDOT(s *Simulation, r io.Reader) ([]*Task, error) {
 				}
 			}
 			bytes := attrs["size"]
+			if !validSize(bytes) {
+				return nil, fmt.Errorf("%w: DOT edge %s size %g", ErrBadSize, strings.Join(hops, " -> "), bytes)
+			}
 			for i := 0; i+1 < len(hops); i++ {
 				src, dst := node(hops[i]), node(hops[i+1])
 				if bytes > 0 {
@@ -94,12 +100,19 @@ func LoadDOT(s *Simulation, r io.Reader) ([]*Task, error) {
 		default:
 			t := node(unquoteDOT(head))
 			if flops, ok := attrs["size"]; ok {
+				if !validSize(flops) {
+					return nil, fmt.Errorf("%w: DOT node %q size %g", ErrBadSize, t.name, flops)
+				}
 				t.amount = flops
 			}
 		}
 	}
 	return tasks, nil
 }
+
+// validSize reports whether a declared task amount is usable: finite
+// and non-negative (NaN fails both comparisons).
+func validSize(v float64) bool { return v >= 0 && v <= math.MaxFloat64 }
 
 // depTolerant adds a dependency, ignoring duplicates (DOT files often
 // repeat edges).
@@ -187,7 +200,9 @@ func splitDOTStatements(body string) []string {
 }
 
 // splitDOTAttrs separates a statement's head from its [attr, ...]
-// list, parsing numeric attribute values.
+// list, parsing numeric attribute values. A value beyond float64 range
+// keeps its ±Inf so the size check rejects it instead of the attribute
+// silently vanishing.
 func splitDOTAttrs(stmt string) (head string, attrs map[string]float64, err error) {
 	open := strings.IndexByte(stmt, '[')
 	if open < 0 {
@@ -205,7 +220,7 @@ func splitDOTAttrs(stmt string) (head string, attrs map[string]float64, err erro
 		}
 		key := strings.ToLower(strings.TrimSpace(kv[:eq]))
 		val := unquoteDOT(strings.TrimSpace(kv[eq+1:]))
-		if f, perr := strconv.ParseFloat(val, 64); perr == nil {
+		if f, perr := strconv.ParseFloat(val, 64); perr == nil || errors.Is(perr, strconv.ErrRange) {
 			attrs[key] = f
 		}
 	}

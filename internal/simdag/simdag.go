@@ -45,6 +45,9 @@ var (
 	ErrBadState = errors.New("simdag: operation illegal in this state")
 	// ErrDuplicate reports an already-declared dependency edge.
 	ErrDuplicate = errors.New("simdag: duplicate dependency")
+	// ErrBadSize reports a workflow file declaring a task amount (work,
+	// runtime or data size) that is NaN, infinite or negative.
+	ErrBadSize = errors.New("simdag: size is NaN, infinite or negative")
 	// ErrHostFailed is re-exported from surf: a compute task's host
 	// turned off mid-run (state trace).
 	ErrHostFailed = surf.ErrHostFailed
@@ -670,8 +673,7 @@ func (s *Simulation) notify(t *Task) {
 // of the instant arms a single timer at the current time (re-arming
 // the same timer object every instant), and the sweep then starts the
 // whole batch back-to-back — k lock-step releases cost one timer and
-// one contiguous start pass, the kernel-level analog of the batched
-// process wake (Engine.WakeAll).
+// one contiguous start pass.
 func (s *Simulation) enqueue(t *Task) {
 	t.state = Runnable
 	s.notify(t)

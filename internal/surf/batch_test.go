@@ -2,157 +2,14 @@ package surf
 
 import (
 	"fmt"
-	"math/rand"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/platform"
 )
 
-// TestActionHeapBulkOps fuzzes collectDue / removeBatch / bulkPush
-// against linear-scan models of the same operations, checking the heap
-// invariant and index bookkeeping after every step.
-func TestActionHeapBulkOps(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	var h actionHeap
-	live := map[*Action]bool{}
-	check := func() {
-		t.Helper()
-		if len(h) != len(live) {
-			t.Fatalf("heap has %d entries, want %d", len(h), len(live))
-		}
-		for i, e := range h {
-			if e.a.heapIdx != i {
-				t.Fatalf("heap[%d].heapIdx = %d", i, e.a.heapIdx)
-			}
-			if !live[e.a] {
-				t.Fatalf("heap[%d] is not a live action", i)
-			}
-			if e.key != e.a.eventKey() {
-				t.Fatalf("heap[%d] cached key %g, action key %g", i, e.key, e.a.eventKey())
-			}
-			if i > 0 {
-				if p := (i - 1) / heapArity; h[p].key > h[i].key {
-					t.Fatalf("heap invariant broken at %d", i)
-				}
-			}
-		}
-	}
-	var dueBuf []*Action
-	var idxBuf []int
-	for op := 0; op < 400; op++ {
-		switch r := rng.Intn(10); {
-		case r < 4 || len(h) == 0: // bulk push a batch
-			k := 1 + rng.Intn(40)
-			batch := make([]*Action, k)
-			for i := range batch {
-				batch[i] = &Action{heapIdx: -1, estFinish: rng.Float64() * 100}
-				live[batch[i]] = true
-			}
-			h.bulkPush(batch)
-		case r < 8: // collect + remove everything due below a threshold
-			maxKey := rng.Float64() * 100
-			want := map[*Action]bool{}
-			for a := range live {
-				if a.eventKey() <= maxKey {
-					want[a] = true
-				}
-			}
-			dueBuf, idxBuf = h.collectDue(maxKey, dueBuf[:0], idxBuf)
-			if len(dueBuf) != len(want) {
-				t.Fatalf("collectDue(%g) found %d actions, linear scan %d", maxKey, len(dueBuf), len(want))
-			}
-			for _, a := range dueBuf {
-				if !want[a] {
-					t.Fatalf("collectDue returned non-due action (key %g > %g)", a.eventKey(), maxKey)
-				}
-			}
-			h.removeBatch(dueBuf)
-			for _, a := range dueBuf {
-				if a.heapIdx != -1 {
-					t.Fatalf("removed action still has heapIdx %d", a.heapIdx)
-				}
-				delete(live, a)
-			}
-		default: // single remove
-			i := rng.Intn(len(h))
-			a := h[i].a
-			h.remove(i)
-			delete(live, a)
-		}
-		check()
-	}
-}
-
-// BenchmarkActionHeapLockstep isolates the event-machinery cost the
-// equal-key bulk-pop removes: k actions due at the same instant inside
-// a heap of n. Each iteration extracts the due run and re-inserts it
-// (steady state). `batched` = collectDue + removeBatch + bulkPush —
-// O(n) compaction/heapify when the run is large; `per-pop` = k
-// individual popMin/push pairs — O(k log n). The full-stack lock-step
-// benchmark (BenchmarkMSGScalingLockstep) shows how much of an MSG
-// step this machinery is; this one shows the machinery alone.
-func BenchmarkActionHeapLockstep(b *testing.B) {
-	cases := []struct {
-		name string
-		n, k int
-	}{
-		{"n100k-all-due", 100_000, 100_000},
-		{"n100k-half-due", 100_000, 50_000},
-		{"n100k-10k-due", 100_000, 10_000},
-	}
-	for _, c := range cases {
-		build := func() (actionHeap, float64) {
-			rng := rand.New(rand.NewSource(11))
-			var h actionHeap
-			const dueKey = 1.0
-			for i := 0; i < c.k; i++ {
-				h.push(&Action{heapIdx: -1, estFinish: dueKey})
-			}
-			for i := c.k; i < c.n; i++ {
-				h.push(&Action{heapIdx: -1, estFinish: 2 + rng.Float64()*100})
-			}
-			return h, dueKey
-		}
-		b.Run(c.name+"/batched", func(b *testing.B) {
-			h, dueKey := build()
-			var due []*Action
-			var stack []int
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				due, stack = h.collectDue(dueKey, due[:0], stack)
-				if len(due) != c.k {
-					b.Fatalf("collected %d, want %d", len(due), c.k)
-				}
-				h.removeBatch(due)
-				h.bulkPush(due)
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*c.k), "ns/action")
-		})
-		b.Run(c.name+"/per-pop", func(b *testing.B) {
-			h, dueKey := build()
-			due := make([]*Action, 0, c.k)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				due = due[:0]
-				for len(h) > 0 && h[0].key <= dueKey {
-					due = append(due, h.popMin())
-				}
-				if len(due) != c.k {
-					b.Fatalf("popped %d, want %d", len(due), c.k)
-				}
-				for _, a := range due {
-					h.push(a)
-				}
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*c.k), "ns/action")
-		})
-	}
-}
-
-// lockstepModel builds nPairs identical disjoint sender/receiver pairs:
-// every transfer and compute completes at the same instant, the
-// workload class the equal-key bulk-pop and batched wake target.
+// lockstepPlatform builds nPairs identical disjoint sender/receiver
+// pairs: every transfer and compute completes at the same instant.
 func lockstepPlatform(t testing.TB, nPairs int) *platform.Platform {
 	t.Helper()
 	pf := platform.New()
@@ -172,14 +29,21 @@ func lockstepPlatform(t testing.TB, nPairs int) *platform.Platform {
 	return pf
 }
 
+// lockstepEvent is one completion as its waiter observed it on waking.
+type lockstepEvent struct {
+	t float64
+	a *Action
+}
+
 // runLockstep drives rounds of simultaneous transfers + computes and
-// returns the completion log (time, action name) in wake order.
-func runLockstep(t *testing.T, cfg Config, nPairs, rounds int) []string {
+// returns the completions in wake order. Actions are never released,
+// so the returned pointers stay valid.
+func runLockstep(t *testing.T, nPairs, rounds int) []lockstepEvent {
 	t.Helper()
 	pf := lockstepPlatform(t, nPairs)
 	eng := core.New()
-	m := New(eng, pf, cfg)
-	var log []string
+	m := New(eng, pf, DefaultConfig())
+	var log []lockstepEvent
 	for i := 0; i < nPairs; i++ {
 		src, dst := fmt.Sprintf("s%d", i), fmt.Sprintf("r%d", i)
 		eng.Spawn(fmt.Sprintf("p%d", i), nil, func(p *core.Process) {
@@ -193,7 +57,7 @@ func runLockstep(t *testing.T, cfg Config, nPairs, rounds int) []string {
 					t.Errorf("comm wait: %v", err)
 					return
 				}
-				log = append(log, fmt.Sprintf("%.9g %s", eng.Now(), a.Name()))
+				log = append(log, lockstepEvent{eng.Now(), a})
 				b, err := m.Execute(src, 1e6, 1)
 				if err != nil {
 					t.Errorf("Execute: %v", err)
@@ -203,7 +67,7 @@ func runLockstep(t *testing.T, cfg Config, nPairs, rounds int) []string {
 					t.Errorf("exec wait: %v", err)
 					return
 				}
-				log = append(log, fmt.Sprintf("%.9g %s", eng.Now(), b.Name()))
+				log = append(log, lockstepEvent{eng.Now(), b})
 			}
 		})
 	}
@@ -213,26 +77,39 @@ func runLockstep(t *testing.T, cfg Config, nPairs, rounds int) []string {
 	return log
 }
 
-// TestLockstepBatchedEquivalence asserts that the batched same-instant
-// completion path (equal-key bulk-pop + one contiguous wake sweep) and
-// the sequential per-completion path produce the identical completion
-// log: same times, same actions, same wake order.
-func TestLockstepBatchedEquivalence(t *testing.T) {
-	base := DefaultConfig()
-	seq := base
-	seq.SequentialCompletions = true
-	batched := runLockstep(t, base, 60, 4)
-	sequential := runLockstep(t, seq, 60, 4)
-	if len(batched) != len(sequential) {
-		t.Fatalf("batched log has %d events, sequential %d", len(batched), len(sequential))
+// TestLockstepCompletionOrder pins same-instant wake order: every
+// action completes, each at its own finish time, and within one
+// instant the waiters wake in the total actionLess order (start, name,
+// seq), whatever order the heap yielded the due actions in.
+func TestLockstepCompletionOrder(t *testing.T) {
+	const pairs, rounds = 60, 4
+	log := runLockstep(t, pairs, rounds)
+	if len(log) != pairs*rounds*2 {
+		t.Fatalf("completion log has %d events, want %d", len(log), pairs*rounds*2)
 	}
-	for i := range batched {
-		if batched[i] != sequential[i] {
-			t.Fatalf("event %d differs:\n  batched:    %s\n  sequential: %s", i, batched[i], sequential[i])
+	instants := 1
+	for i, ev := range log {
+		if ev.t != ev.a.Finish() {
+			t.Fatalf("event %d: %s woke at %.9g, finished at %.9g", i, ev.a.Name(), ev.t, ev.a.Finish())
+		}
+		if i == 0 {
+			continue
+		}
+		prev := log[i-1]
+		switch {
+		case ev.t < prev.t:
+			t.Fatalf("event %d: time went back from %.9g to %.9g", i, prev.t, ev.t)
+		case ev.t > prev.t:
+			instants++
+		case !actionLess(prev.a, ev.a):
+			t.Fatalf("event %d at %.9g: %s (start %g, seq %d) woke after %s (start %g, seq %d), against actionLess",
+				i, ev.t, ev.a.Name(), ev.a.start, ev.a.seq, prev.a.Name(), prev.a.start, prev.a.seq)
 		}
 	}
-	if len(batched) != 60*4*2 {
-		t.Fatalf("completion log has %d events, want %d", len(batched), 60*4*2)
+	// Lock-step: the pairs move together, one instant per comm and per
+	// compute phase of each round.
+	if instants != rounds*2 {
+		t.Fatalf("completions spread over %d instants, want %d", instants, rounds*2)
 	}
 }
 

@@ -1,7 +1,5 @@
 package surf
 
-import "math/bits"
-
 // actionHeap is an indexed 4-ary min-heap over the model's in-flight
 // actions, keyed on each action's next event time (the end of its
 // latency phase while that is being paid, its absolute completion
@@ -120,125 +118,4 @@ func (h *actionHeap) popMin() *Action {
 	a := (*h)[0].a
 	h.remove(0)
 	return a
-}
-
-// collectDue appends to buf every action whose event key is <= maxKey,
-// without restructuring the heap. The matching actions form a
-// parent-closed prefix of the tree (a child never keys below its
-// parent), so a pruned DFS visits O(k) nodes for k matches. stack is
-// caller-owned scratch; both grown slices are returned for reuse.
-func (h actionHeap) collectDue(maxKey float64, buf []*Action, stack []int) ([]*Action, []int) {
-	n := len(h)
-	if n == 0 || h[0].key > maxKey {
-		return buf, stack
-	}
-	// All-due shortcut: keys never decrease toward the leaves, so if
-	// every leaf is due the whole heap is — a straight copy, no DFS.
-	// (The scan aborts at the first non-due leaf, so a mixed heap pays
-	// almost nothing for the attempt.)
-	allDue := true
-	for i := (n - 2) / heapArity; i < n; i++ {
-		if h[i].key > maxKey {
-			allDue = false
-			break
-		}
-	}
-	if allDue {
-		for i := range h {
-			buf = append(buf, h[i].a)
-		}
-		return buf, stack
-	}
-	stack = append(stack[:0], 0)
-	for len(stack) > 0 {
-		i := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		buf = append(buf, h[i].a)
-		l := heapArity*i + 1
-		hi := l + heapArity
-		if hi > len(h) {
-			hi = len(h)
-		}
-		for c := l; c < hi; c++ {
-			if h[c].key <= maxKey {
-				stack = append(stack, c)
-			}
-		}
-	}
-	return buf, stack
-}
-
-// removeBatch removes every action in batch (all of which must be in
-// the heap). Small batches sift each removal out — O(log n) apiece —
-// but a batch that is a large fraction of the heap is cheaper as one
-// compaction followed by an O(n) heapify: the equal-key bulk-pop that
-// lock-step completions rely on, shaving the per-action log factor.
-func (h *actionHeap) removeBatch(batch []*Action) {
-	n, k := len(*h), len(batch)
-	if k == 0 {
-		return
-	}
-	if k == n {
-		// Everything goes: truncate in one pass, no compaction needed.
-		for i := range *h {
-			(*h)[i].a.heapIdx = -1
-			(*h)[i] = heapEntry{}
-		}
-		*h = (*h)[:0]
-		return
-	}
-	// Crossover: k sifts cost ~k·log n swap steps, the rebuild ~4 linear
-	// passes (mark, compact, heapify, plus the re-insert's share).
-	if k*bits.Len(uint(n)) < 4*n {
-		for _, a := range batch {
-			h.remove(a.heapIdx)
-		}
-		return
-	}
-	for _, a := range batch {
-		a.heapIdx = -1
-	}
-	old := *h
-	w := 0
-	for r := 0; r < n; r++ {
-		e := old[r]
-		if e.a.heapIdx < 0 {
-			continue
-		}
-		old[w] = e
-		e.a.heapIdx = w
-		w++
-	}
-	for i := w; i < n; i++ {
-		old[i] = heapEntry{} // release for the collector
-	}
-	*h = old[:w]
-	for i := (w - 2) / heapArity; i >= 0; i-- {
-		(*h).down(i)
-	}
-}
-
-// bulkPush inserts every action in as (none of which may be in the
-// heap). A batch that rivals the heap size is appended and heapified in
-// one O(n) pass instead of k sifts — the re-insertion half of the
-// lock-step latency-phase transition.
-func (h *actionHeap) bulkPush(as []*Action) {
-	k := len(as)
-	if k == 0 {
-		return
-	}
-	n := len(*h) + k
-	if k*bits.Len(uint(n)) < 4*n {
-		for _, a := range as {
-			h.push(a)
-		}
-		return
-	}
-	for _, a := range as {
-		a.heapIdx = len(*h)
-		*h = append(*h, heapEntry{key: a.eventKey(), a: a})
-	}
-	for i := (n - 2) / heapArity; i >= 0; i-- {
-		(*h).down(i)
-	}
 }

@@ -70,17 +70,6 @@ type Config struct {
 	// RTTReference normalizes RTT weighting (weight = priority ×
 	// RTTReference / RTT); only relative weights matter.
 	RTTReference float64
-	// SolverWorkers bounds the worker pool solving independent MaxMin
-	// components in parallel (multi-island platforms): 1 forces a
-	// sequential solve, 0 uses GOMAXPROCS. Small solve scopes are
-	// always sequential regardless.
-	SolverWorkers int
-	// SequentialCompletions disables the batched same-instant
-	// completion path in AdvanceTo (equal-key bulk-pop of the event
-	// heap plus one contiguous wake sweep) and processes completions
-	// one heap pop at a time instead. Debug/benchmark knob: the two
-	// paths complete the same actions in the same order.
-	SequentialCompletions bool
 }
 
 // DefaultConfig returns the model defaults (CM02-flavoured).
@@ -394,11 +383,8 @@ type Model struct {
 	// change. NextEventTime peeks it; AdvanceTo pops only due actions.
 	heap actionHeap
 
-	finBuf    []*Action       // scratch for AdvanceTo's completion sweep
-	repushBuf []*Action       // scratch for AdvanceTo's re-keyed actions
-	dueBuf    []*Action       // scratch for the equal-key bulk collect
-	idxBuf    []int           // scratch DFS stack for collectDue
-	waiterBuf []*core.Process // scratch for the batched wake sweep
+	finBuf    []*Action // scratch for AdvanceTo's completion sweep
+	repushBuf []*Action // scratch for AdvanceTo's re-keyed actions
 
 	// resPool recycles the resources slices of completed actions: at
 	// 100k+ activities the per-action []*resource is a measurable share
@@ -428,10 +414,6 @@ type Model struct {
 	// placement (simdag tasks, schedulers) pay the name lookups once.
 	hostHandles  map[string]*HostHandle
 	routeHandles map[[2]string]*RouteHandle
-
-	// seqCompletions forces the one-pop-at-a-time completion path
-	// (Config.SequentialCompletions, benchmark/debug only).
-	seqCompletions bool
 
 	nextSeq int64 // action creation counter (completion-sort tie-break)
 
@@ -473,8 +455,6 @@ func New(eng *core.Engine, pf *platform.Platform, cfg Config) *Model {
 		cpus:  make(map[string]*resource),
 		links: make(map[string]*resource),
 	}
-	m.sys.SetWorkers(cfg.SolverWorkers)
-	m.seqCompletions = cfg.SequentialCompletions
 	for _, h := range pf.Hosts() {
 		r := &resource{
 			name:     h.Name,
@@ -1038,41 +1018,32 @@ func (m *Model) NextEventTime(now float64) float64 {
 // AdvanceTo implements core.Model. Progress bookkeeping is lazy
 // (absolute completion estimates), so only the actions with an event
 // due at t are touched and every other action keeps its heap position;
-// a step that completes nothing costs one heap peek.
-//
-// Same-instant events are processed as one batch: the due run is
-// collected off the heap with a pruned DFS (equal keys are a
-// parent-closed prefix, so no per-pop sift), removed in a single
-// compaction+heapify when the run is large, and the finished actions'
-// waiters are enqueued contiguously in one scheduling sweep
-// (Engine.WakeAll) — k lock-step completions cost one bookkeeping pass
-// instead of k interleaved pop/wake cycles.
+// a step that completes nothing costs one heap peek. Due actions are
+// popped one at a time, the finished ones sorted into the total
+// actionLess order, and each completed in turn — its waiter woken
+// before the next one's — so same-instant wake order is a function of
+// the actions alone, never of heap layout.
 func (m *Model) AdvanceTo(now, t float64) {
 	m.refresh()
 	m.heapDepth.Observe(t, float64(len(m.heap)))
 	// The slack absorbs the clock's float64 resolution (otherwise the
 	// engine would spin on a next-event time that rounds to now);
-	// borderline actions collected but not yet due are re-pushed below.
+	// borderline actions popped but not yet due are re-pushed below.
 	maxKey := t + eps + 1e-12*(1+t)
-	if m.seqCompletions {
-		m.advanceSequential(t, maxKey)
-		return
-	}
-	due, stack := m.heap.collectDue(maxKey, m.dueBuf[:0], m.idxBuf)
-	m.idxBuf = stack
-	if len(due) == 0 {
-		return
-	}
-	m.heap.removeBatch(due)
 	finished := m.finBuf[:0]
 	repush := m.repushBuf[:0]
-	for _, a := range due {
-		finished, repush = m.classifyDue(a, t, finished, repush)
+	for len(m.heap) > 0 && m.heap[0].key <= maxKey {
+		finished, repush = m.classifyDue(m.heap.popMin(), t, finished, repush)
 	}
-	m.heap.bulkPush(repush)
-	// Deterministic completion order (by start time then name).
+	for _, a := range repush {
+		m.heap.push(a)
+	}
 	sortActions(finished)
-	m.completeBatch(finished, t)
+	for _, a := range finished {
+		a.remaining = 0
+		a.lastSync = t
+		m.complete(a, nil)
+	}
 	for i := range finished {
 		finished[i] = nil // release completed actions for the collector
 	}
@@ -1081,10 +1052,6 @@ func (m *Model) AdvanceTo(now, t float64) {
 		repush[i] = nil
 	}
 	m.repushBuf = repush[:0]
-	for i := range due {
-		due[i] = nil
-	}
-	m.dueBuf = due[:0]
 }
 
 // classifyDue routes one due action: a latency-phase action whose
@@ -1092,9 +1059,8 @@ func (m *Model) AdvanceTo(now, t float64) {
 // never completed in the same step — its first bandwidth-phase
 // estimate is only solved next round — so it always goes back on the
 // heap), a finished action joins the completion set, and a borderline
-// action collected within the float-resolution slack but not yet due
-// goes back untouched. Shared by the batched and sequential paths so
-// the two cannot drift apart.
+// action popped within the float-resolution slack but not yet due
+// goes back untouched.
 func (m *Model) classifyDue(a *Action, t float64, finished, repush []*Action) (fin, rep []*Action) {
 	switch {
 	case a.latUntil > 0:
@@ -1115,96 +1081,10 @@ func (m *Model) classifyDue(a *Action, t float64, finished, repush []*Action) (f
 	return finished, repush
 }
 
-// advanceSequential is the pre-batching completion path: one heap pop
-// and one wake cycle per due action (Config.SequentialCompletions).
-func (m *Model) advanceSequential(t, maxKey float64) {
-	finished := m.finBuf[:0]
-	repush := m.repushBuf[:0]
-	for len(m.heap) > 0 && m.heap[0].key <= maxKey {
-		finished, repush = m.classifyDue(m.heap.popMin(), t, finished, repush)
-	}
-	for _, a := range repush {
-		m.heap.push(a)
-	}
-	sortActions(finished)
-	for _, a := range finished {
-		a.remaining = 0
-		a.lastSync = t
-		m.complete(a, nil)
-	}
-	for i := range finished {
-		finished[i] = nil
-	}
-	m.finBuf = finished[:0]
-	for i := range repush {
-		repush[i] = nil
-	}
-	m.repushBuf = repush[:0]
-}
-
-// completeBatch finishes every action in finished (success). A batch
-// with no completion callbacks — the common case for direct waiters —
-// is one bookkeeping sweep (variables released, heap entries dropped)
-// followed by a single contiguous run-queue append (Engine.WakeAll);
-// per-action wake order equals slice order, so it matches the
-// sequential path exactly. As soon as any action carries an
-// onComplete callback, the whole batch defers to the per-action
-// complete() path instead: callbacks may observe — or cancel —
-// sibling actions finishing at the same instant, and must see exactly
-// the intermediate state the sequential path would give them
-// (TestLockstepBatchedEquivalence pins the pure-waiter equivalence).
-func (m *Model) completeBatch(finished []*Action, t float64) {
-	if len(finished) == 0 {
-		return
-	}
-	hasCallbacks := false
-	for _, a := range finished {
-		if a.onComplete != nil || a.compl != nil {
-			hasCallbacks = true
-			break
-		}
-	}
-	if hasCallbacks {
-		for _, a := range finished {
-			a.remaining = 0
-			a.lastSync = t
-			m.complete(a, nil)
-		}
-		return
-	}
-	waiters := m.waiterBuf[:0]
-	for _, a := range finished {
-		if a.done {
-			continue
-		}
-		a.remaining = 0
-		a.lastSync = t
-		a.done = true
-		a.finish = t
-		if a.v != nil {
-			m.sys.RemoveVariable(a.v)
-			a.v = nil
-		}
-		if a.heapIdx >= 0 {
-			m.heap.remove(a.heapIdx)
-		}
-		m.releaseResources(a)
-		if a.waiter != nil {
-			waiters = append(waiters, a.waiter)
-			a.waiter = nil
-		}
-	}
-	m.eng.WakeAll(waiters, nil)
-	for i := range waiters {
-		waiters[i] = nil
-	}
-	m.waiterBuf = waiters[:0]
-}
-
 // actionLess is the deterministic completion order: start time, then
 // name, then creation sequence. The final tie-break makes the order
-// total, so it is independent of how the due set was gathered (heap
-// pops vs bulk collect) and of sort stability.
+// total, so it is independent of the heap's pop order among equal keys
+// and of sort stability.
 func actionLess(x, y *Action) bool {
 	if x.start != y.start {
 		return x.start < y.start

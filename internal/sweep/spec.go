@@ -7,8 +7,10 @@
 package sweep
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/faults"
@@ -167,10 +169,6 @@ func (w *WorkloadSpec) Build(s *simdag.Simulation, runSeed int64) error {
 // SolverSpec names one surf configuration.
 type SolverSpec struct {
 	Name string `json:"name"`
-	// Workers overrides Config.SolverWorkers (0 keeps the default).
-	Workers int `json:"workers,omitempty"`
-	// Sequential sets Config.SequentialCompletions.
-	Sequential bool `json:"sequential,omitempty"`
 	// NoRTTWeight disables Config.WeightByRTT.
 	NoRTTWeight bool `json:"no_rtt_weight,omitempty"`
 }
@@ -178,10 +176,6 @@ type SolverSpec struct {
 // Config materializes the surf configuration.
 func (sv *SolverSpec) Config() surf.Config {
 	cfg := surf.DefaultConfig()
-	if sv.Workers > 0 {
-		cfg.SolverWorkers = sv.Workers
-	}
-	cfg.SequentialCompletions = sv.Sequential
 	if sv.NoRTTWeight {
 		cfg.WeightByRTT = false
 	}
@@ -250,15 +244,22 @@ type Spec struct {
 	Seeds      []int64        `json:"seeds"`
 }
 
-// Load reads a Spec from a JSON file and validates it.
+// Load reads a Spec from a JSON file and validates it. Decoding is
+// strict: an unknown or misspelt key is an error naming the field, not
+// a silently different grid, and so is anything after the spec object.
 func Load(path string) (*Spec, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
 	var sp Spec
-	if err := json.Unmarshal(data, &sp); err != nil {
+	if err := dec.Decode(&sp); err != nil {
 		return nil, fmt.Errorf("sweep: %s: %w", path, err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, fmt.Errorf("sweep: %s: trailing data after the campaign spec", path)
 	}
 	if err := sp.Validate(); err != nil {
 		return nil, err

@@ -42,7 +42,7 @@ type TierStat struct {
 	GoroutineSpawns int     `json:"goroutine_spawns"`
 	GoroutinesPeak  int     `json:"goroutines_peak"`
 	SolverSolves    uint64  `json:"solver_solves"`
-	SolverParallel  uint64  `json:"solver_parallel_dispatches"`
+	SolverParallel  uint64  `json:"solver_parallel_dispatches"` // always 0 (Solve is sequential); kept for report schema v1
 	// Pools is the per-free-list scoreboard from the tier's last run.
 	// Go maps marshal with sorted keys, so the JSON stays
 	// byte-comparable across runs of the same build.
