@@ -818,11 +818,16 @@ func (e *Engine) kernelTurn(self *Process) dispatchResult {
 
 		// Phase 1 of the next round: hand control to the first woken
 		// process; its dispatch chain continues the round. The flag drops
-		// before the hand-off: the woken process runs its own code.
+		// before the hand-off: the woken process runs its own code. The
+		// dispatch span closes before the hand-off too: from the send on,
+		// the woken goroutine owns the engine and its profiler.
 		e.inKernel = false
 		t0 = e.prof.Begin()
-		r := e.dispatch(self)
+		p, r := e.pick(self)
 		e.prof.End(instr.PhaseDispatch, t0)
+		if r == dispatchNext {
+			p.resume <- p.wakeErr
+		}
 		if r != dispatchNone {
 			return r
 		}

@@ -125,6 +125,19 @@ const (
 // is drained in place (head cursor) so its backing array is reused
 // across scheduling rounds.
 func (e *Engine) dispatch(self *Process) dispatchResult {
+	p, r := e.pick(self)
+	if r == dispatchNext {
+		p.resume <- p.wakeErr
+	}
+	return r
+}
+
+// pick is dispatch without the hand-off: it selects the process to run
+// next and marks it Running, returning it with dispatchNext when its
+// goroutine is to be resumed. From that send on, the resumed goroutine
+// owns the engine, so a caller with bookkeeping to finish (the kernel
+// turn's profiler span) calls pick, finishes, then sends.
+func (e *Engine) pick(self *Process) (*Process, dispatchResult) {
 	for e.fatal == nil && e.runHead < len(e.runQ) {
 		p := e.runQ[e.runHead]
 		e.runQ[e.runHead] = nil // release the reference for the collector
@@ -142,20 +155,17 @@ func (e *Engine) dispatch(self *Process) dispatchResult {
 			p.pendingWake = &ec
 			continue
 		}
-		if p == self {
-			e.current = p
-			p.state = Running
-			return dispatchSelf
-		}
 		e.current = p
 		p.state = Running
-		p.resume <- p.wakeErr
-		return dispatchNext
+		if p == self {
+			return p, dispatchSelf
+		}
+		return p, dispatchNext
 	}
 	e.runQ = e.runQ[:0]
 	e.runHead = 0
 	e.current = nil
-	return dispatchNone
+	return nil, dispatchNone
 }
 
 // releaseToken passes the kernel token on after the caller's process

@@ -22,10 +22,11 @@ func daxWithSizes(runtime, size string) string {
 </adag>`
 }
 
-// TestLoadersRejectBadSize: a NaN, infinite or negative amount in
-// either workflow format is a typed error naming the offending node,
-// edge, job or file — never a task with a silently wrong amount, and
-// never a transfer quietly degraded to a control dependency.
+// TestLoadersRejectBadSize: a malformed, NaN, infinite or negative
+// amount in either workflow format is a typed error naming the
+// offending node, edge, job or file — never a task with a silently
+// wrong amount, and never a transfer quietly degraded to a control
+// dependency.
 func TestLoadersRejectBadSize(t *testing.T) {
 	cases := []struct {
 		name, format, input, names string
@@ -38,6 +39,10 @@ func TestLoadersRejectBadSize(t *testing.T) {
 		{"dot edge nan", "dot", `digraph { a; b; a -> b [size=nan]; }`, "a -> b"},
 		{"dot edge negative", "dot", `digraph { a -> b -> c [size=-1]; }`, "a -> b -> c"},
 		{"dot edge inf", "dot", `digraph { a -> b [size=inf]; }`, "a -> b"},
+		{"dot node malformed", "dot", `digraph { a [size="4e9x"]; }`, `"a"`},
+		{"dot node empty", "dot", `digraph { a [label="x", size=""]; }`, `"a"`},
+		{"dot edge malformed", "dot", `digraph { a; b; a -> b [size="8e7 bytes"]; }`, "a -> b"},
+		{"dot edge chain malformed", "dot", `digraph { a -> b -> c [size=lots]; }`, "a -> b -> c"},
 		{"dax runtime nan", "dax", daxWithSizes("NaN", "10"), `"A"`},
 		{"dax runtime negative", "dax", daxWithSizes("-2", "10"), `"A"`},
 		{"dax runtime inf", "dax", daxWithSizes("+Inf", "10"), `"A"`},
@@ -74,6 +79,13 @@ func TestLoadersRejectBadSize(t *testing.T) {
 	if _, err := LoadDAX(New(platform.New(), exactConfig()), strings.NewReader(daxWithSizes("0", "0"))); err != nil {
 		t.Fatalf("zero-size DAX: %v", err)
 	}
+
+	// Attributes other than size stay ignored, whatever their value.
+	s = New(platform.New(), exactConfig())
+	tasks, err = LoadDOT(s, strings.NewReader(`digraph { a [label="big job", size=4e9, shape=box]; a -> b [label=data, size=8e7]; }`))
+	if err != nil || len(tasks) != 3 || tasks[0].Amount() != 4e9 || tasks[2].Amount() != 8e7 {
+		t.Fatalf("labelled DOT: %d tasks, err %v; want a (4e9 flops), b and an 8e7-byte transfer", len(tasks), err)
+	}
 }
 
 // FuzzLoadDOT: whatever the input, LoadDOT either fails or returns
@@ -87,10 +99,31 @@ func FuzzLoadDOT(f *testing.F) {
 		if err != nil {
 			return
 		}
-		for _, task := range tasks {
-			if a := task.Amount(); !(a >= 0) || math.IsInf(a, 1) {
-				t.Fatalf("task %q loaded with amount %g", task.Name(), a)
-			}
-		}
+		checkAmounts(t, tasks)
 	})
+}
+
+// FuzzLoadDAX: the same contract for the DAX loader. The seed corpus
+// lives in testdata/fuzz/FuzzLoadDAX.
+func FuzzLoadDAX(f *testing.F) {
+	f.Add(sampleDAX)
+	f.Fuzz(func(t *testing.T, input string) {
+		s := New(platform.New(), exactConfig())
+		tasks, err := LoadDAX(s, strings.NewReader(input))
+		if err != nil {
+			return
+		}
+		checkAmounts(t, tasks)
+	})
+}
+
+// checkAmounts fails on any loaded task whose amount is NaN, infinite
+// or negative.
+func checkAmounts(t *testing.T, tasks []*Task) {
+	t.Helper()
+	for _, task := range tasks {
+		if a := task.Amount(); !(a >= 0) || math.IsInf(a, 1) {
+			t.Fatalf("task %q loaded with amount %g", task.Name(), a)
+		}
+	}
 }

@@ -22,8 +22,9 @@ import (
 // per node (flops from the node's size attribute, 0 when absent), a
 // comm task per sized edge, a direct dependency per bare edge (or one
 // of size 0). Tasks are returned in declaration order, NotScheduled.
-// A NaN, infinite or negative size fails with ErrBadSize naming the
-// node or edge.
+// A size that is not a number, or is NaN, infinite or negative, fails
+// with ErrBadSize naming the node or edge. Other attributes are
+// ignored.
 func LoadDOT(s *Simulation, r io.Reader) ([]*Task, error) {
 	raw, err := io.ReadAll(r)
 	if err != nil {
@@ -71,9 +72,9 @@ func LoadDOT(s *Simulation, r io.Reader) ([]*Task, error) {
 					return nil, fmt.Errorf("simdag: bad DOT edge %q", stmt)
 				}
 			}
-			bytes := attrs["size"]
-			if !validSize(bytes) {
-				return nil, fmt.Errorf("%w: DOT edge %s size %g", ErrBadSize, strings.Join(hops, " -> "), bytes)
+			bytes, _, ok := dotSize(attrs)
+			if !ok {
+				return nil, fmt.Errorf("%w: DOT edge %s size %q", ErrBadSize, strings.Join(hops, " -> "), attrs["size"])
 			}
 			for i := 0; i+1 < len(hops); i++ {
 				src, dst := node(hops[i]), node(hops[i+1])
@@ -99,15 +100,32 @@ func LoadDOT(s *Simulation, r io.Reader) ([]*Task, error) {
 			}
 		default:
 			t := node(unquoteDOT(head))
-			if flops, ok := attrs["size"]; ok {
-				if !validSize(flops) {
-					return nil, fmt.Errorf("%w: DOT node %q size %g", ErrBadSize, t.name, flops)
-				}
+			flops, set, ok := dotSize(attrs)
+			if !ok {
+				return nil, fmt.Errorf("%w: DOT node %q size %q", ErrBadSize, t.name, attrs["size"])
+			}
+			if set {
 				t.amount = flops
 			}
 		}
 	}
 	return tasks, nil
+}
+
+// dotSize reads a statement's size attribute: set reports whether
+// there is one, ok whether it is usable (absent, or a finite,
+// non-negative number). A value beyond float64 range parses as ±Inf
+// and is rejected like any infinity.
+func dotSize(attrs map[string]string) (v float64, set, ok bool) {
+	raw, set := attrs["size"]
+	if !set {
+		return 0, false, true
+	}
+	v, err := strconv.ParseFloat(raw, 64)
+	if err != nil && !errors.Is(err, strconv.ErrRange) {
+		return 0, true, false
+	}
+	return v, true, validSize(v)
 }
 
 // validSize reports whether a declared task amount is usable: finite
@@ -200,10 +218,8 @@ func splitDOTStatements(body string) []string {
 }
 
 // splitDOTAttrs separates a statement's head from its [attr, ...]
-// list, parsing numeric attribute values. A value beyond float64 range
-// keeps its ±Inf so the size check rejects it instead of the attribute
-// silently vanishing.
-func splitDOTAttrs(stmt string) (head string, attrs map[string]float64, err error) {
+// list, keyed by lower-cased name with values unquoted.
+func splitDOTAttrs(stmt string) (head string, attrs map[string]string, err error) {
 	open := strings.IndexByte(stmt, '[')
 	if open < 0 {
 		return strings.TrimSpace(stmt), nil, nil
@@ -212,17 +228,14 @@ func splitDOTAttrs(stmt string) (head string, attrs map[string]float64, err erro
 	if closing < open {
 		return "", nil, fmt.Errorf("simdag: bad DOT attribute list in %q", stmt)
 	}
-	attrs = make(map[string]float64)
+	attrs = make(map[string]string)
 	for _, kv := range strings.FieldsFunc(stmt[open+1:closing], func(r rune) bool { return r == ',' }) {
 		eq := strings.IndexByte(kv, '=')
 		if eq < 0 {
 			continue
 		}
 		key := strings.ToLower(strings.TrimSpace(kv[:eq]))
-		val := unquoteDOT(strings.TrimSpace(kv[eq+1:]))
-		if f, perr := strconv.ParseFloat(val, 64); perr == nil || errors.Is(perr, strconv.ErrRange) {
-			attrs[key] = f
-		}
+		attrs[key] = unquoteDOT(strings.TrimSpace(kv[eq+1:]))
 	}
 	return strings.TrimSpace(stmt[:open]), attrs, nil
 }

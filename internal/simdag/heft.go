@@ -69,24 +69,21 @@ type HEFTStats struct {
 	// Plan lists the placed units in scheduling order.
 	Plan []PlannedTask
 
-	// ranks backs RankOf without freezing a map into the public schema.
-	ranks heftRanks
+	// sim and ranks back RankOf without freezing a table into the
+	// public schema: ranks is indexed by task creation index, NaN for
+	// tasks the pass did not rank.
+	sim   *Simulation
+	ranks []float64
 }
 
 // RankOf returns a task's upward rank from the last ScheduleHEFTStats
 // plan lookup table, or NaN when the task was not ranked.
 func (st *HEFTStats) RankOf(t *Task) float64 {
-	if st == nil || st.ranks == nil {
+	if st == nil || t == nil || t.sim != st.sim || int(t.id) >= len(st.ranks) {
 		return math.NaN()
 	}
-	if r, ok := st.ranks[t]; ok {
-		return r
-	}
-	return math.NaN()
+	return st.ranks[t.id]
 }
-
-// heftRanks is the upward-rank lookup table.
-type heftRanks = map[*Task]float64
 
 // ScheduleHEFT places unscheduled compute tasks (and, via the shared
 // pre-pass, ptasks) with the HEFT heuristic, then wires comm tasks
@@ -113,12 +110,13 @@ func ScheduleHEFTStats(s *Simulation, hosts []string, opts *HEFTOptions) (*HEFTS
 	if err := placeParallel(s, hosts); err != nil {
 		return nil, err
 	}
-	o := resolveHEFTOptions(s, hosts, opts)
-
-	// Creation index: the deterministic tie-break everywhere below.
-	idx := make(map[*Task]int, len(s.tasks))
-	for i, t := range s.tasks {
-		idx[t] = i
+	est, err := newEstimator(s.pf, hosts)
+	if err != nil {
+		return nil, err
+	}
+	o := &heftOpts{est: est}
+	if opts != nil {
+		o.hooks = *opts
 	}
 
 	topo, err := topoOrder(s)
@@ -129,8 +127,12 @@ func ScheduleHEFTStats(s *Simulation, hosts []string, opts *HEFTOptions) (*HEFTS
 	// Upward ranks over the full graph, in reverse topological order:
 	// rank(t) = weight(t) + max over successors rank(succ), with comm
 	// nodes weighing their mean transfer estimate (the paper's
-	// c̄(t,succ) folded into the reified edge node).
-	ranks := make(heftRanks, len(topo))
+	// c̄(t,succ) folded into the reified edge node). Tasks outside topo
+	// (terminal ones) keep NaN, which never wins a max.
+	ranks := make([]float64, len(s.tasks))
+	for i := range ranks {
+		ranks[i] = math.NaN()
+	}
 	for i := len(topo) - 1; i >= 0; i-- {
 		t := topo[i]
 		best := 0.0
@@ -139,16 +141,16 @@ func ScheduleHEFTStats(s *Simulation, hosts []string, opts *HEFTOptions) (*HEFTS
 			if !ok {
 				break
 			}
-			if r, ok2 := ranks[succ]; ok2 && r > best {
+			if r := ranks[succ.id]; r > best {
 				best = r
 			}
 		}
-		ranks[t] = o.weight(t) + best
+		ranks[t.id] = o.weight(t) + best
 	}
 	cp := 0.0
 	for _, t := range topo {
-		if ranks[t] > cp {
-			cp = ranks[t]
+		if ranks[t.id] > cp {
+			cp = ranks[t.id]
 		}
 	}
 
@@ -156,7 +158,8 @@ func ScheduleHEFTStats(s *Simulation, hosts []string, opts *HEFTOptions) (*HEFTS
 	// (to be placed), plus already-placed computes and ptasks whose
 	// spans must block their hosts. Decreasing rank order; near-ties
 	// (an ulp apart from equivalent mean-cost paths) fall back to
-	// creation order so the walk matches the paper's.
+	// creation order (the deterministic tie-break) so the walk matches
+	// the paper's.
 	var units []*Task
 	for _, t := range topo {
 		switch t.kind {
@@ -171,21 +174,18 @@ func ScheduleHEFTStats(s *Simulation, hosts []string, opts *HEFTOptions) (*HEFTS
 		}
 	}
 	sort.SliceStable(units, func(i, j int) bool {
-		ri, rj := ranks[units[i]], ranks[units[j]]
+		ri, rj := ranks[units[i].id], ranks[units[j].id]
 		if d := ri - rj; d > rankTieEps || d < -rankTieEps {
 			return ri > rj
 		}
-		return idx[units[i]] < idx[units[j]]
+		return units[i].id < units[j].id
 	})
 
 	p := &heftPlanner{
-		s:     s,
-		o:     o,
-		hosts: hosts,
-		slots: make(map[string][]heftSpan, len(hosts)),
-		aft:   make(map[*Task]float64, len(topo)),
+		o:   o,
+		aft: make([]heftFinish, len(s.tasks)),
 	}
-	st := &HEFTStats{CriticalPath: cp, ranks: ranks}
+	st := &HEFTStats{CriticalPath: cp, sim: s, ranks: ranks}
 	for _, t := range units {
 		var pl PlannedTask
 		if t.kind == Parallel {
@@ -209,7 +209,7 @@ func ScheduleHEFTStats(s *Simulation, hosts []string, opts *HEFTOptions) (*HEFTS
 		return nil, err
 	}
 
-	st.Levels = unitLevels(topo)
+	st.Levels = unitLevels(topo, len(s.tasks))
 	for _, n := range st.Levels {
 		if n > st.MaxParallelism {
 			st.MaxParallelism = n
@@ -226,13 +226,53 @@ func ScheduleHEFTStats(s *Simulation, hosts []string, opts *HEFTOptions) (*HEFTS
 // mean-cost paths can differ by an ulp of float summation order.
 const rankTieEps = 1e-9
 
-// heftOpts is the resolved cost model (all hooks non-nil).
+// heftOpts is the resolved cost model: a user hook where one is set,
+// the pass's estimator otherwise.
 type heftOpts struct {
-	cost     func(t *Task, host string) float64
-	commCost func(c *Task, src, dst string) float64
-	meanComm func(c *Task) float64
-	hosts    []string
-	s        *Simulation
+	hooks HEFTOptions
+	est   *estimator
+}
+
+// cost is a compute's execution-time estimate on h.
+func (o *heftOpts) cost(t *Task, h hostRef) float64 {
+	if o.hooks.Cost != nil {
+		return o.hooks.Cost(t, h.name)
+	}
+	return o.est.compute(t.amount, h)
+}
+
+// commCost is a comm's transfer estimate from src to dst.
+func (o *heftOpts) commCost(c *Task, src, dst hostRef) float64 {
+	if o.hooks.CommCost != nil {
+		return o.hooks.CommCost(c, src.name, dst.name)
+	}
+	return o.est.transfer(src, dst, c.amount)
+}
+
+// meanComm is a comm's placement-independent estimate: commCost
+// averaged over the distinct ordered pairs of pool positions.
+func (o *heftOpts) meanComm(c *Task) float64 {
+	if o.hooks.MeanCommCost != nil {
+		return o.hooks.MeanCommCost(c)
+	}
+	if o.hooks.CommCost == nil {
+		return o.est.meanTransfer(c.amount)
+	}
+	pool := o.est.pool
+	sum, n := 0.0, 0
+	for i := range pool {
+		for j := range pool {
+			if i == j {
+				continue
+			}
+			sum += o.hooks.CommCost(c, pool[i].name, pool[j].name)
+			n++
+		}
+	}
+	if n == 0 {
+		return 0
+	}
+	return sum / float64(n)
 }
 
 // weight is a task's rank contribution: mean execution cost for
@@ -242,16 +282,16 @@ func (o *heftOpts) weight(t *Task) float64 {
 	switch t.kind {
 	case Compute:
 		sum := 0.0
-		for _, h := range o.hosts {
+		for _, h := range o.est.pool {
 			sum += o.cost(t, h)
 		}
-		return sum / float64(len(o.hosts))
+		return sum / float64(len(o.est.pool))
 	case Comm:
 		return o.meanComm(t)
 	case Parallel:
 		sum := 0.0
 		for _, h := range t.phosts {
-			sum += o.s.pf.Host(h).Power
+			sum += o.est.power[o.est.ref(h).i]
 		}
 		if sum <= 0 {
 			return 0
@@ -260,52 +300,6 @@ func (o *heftOpts) weight(t *Task) float64 {
 	default:
 		return 0
 	}
-}
-
-func resolveHEFTOptions(s *Simulation, hosts []string, opts *HEFTOptions) *heftOpts {
-	o := &heftOpts{hosts: hosts, s: s}
-	if opts != nil && opts.Cost != nil {
-		o.cost = opts.Cost
-	} else {
-		o.cost = func(t *Task, host string) float64 {
-			return t.amount / s.pf.Host(host).Power
-		}
-	}
-	if opts != nil && opts.CommCost != nil {
-		o.commCost = opts.CommCost
-	} else {
-		o.commCost = func(c *Task, src, dst string) float64 {
-			if src == dst || src == "" || dst == "" {
-				return 0
-			}
-			route, err := s.pf.Route(src, dst)
-			if err != nil || len(route.Links) == 0 {
-				return 0
-			}
-			return route.Latency() + c.amount/route.Bottleneck()
-		}
-	}
-	if opts != nil && opts.MeanCommCost != nil {
-		o.meanComm = opts.MeanCommCost
-	} else {
-		o.meanComm = func(c *Task) float64 {
-			sum, n := 0.0, 0
-			for i := range hosts {
-				for j := range hosts {
-					if i == j {
-						continue
-					}
-					sum += o.commCost(c, hosts[i], hosts[j])
-					n++
-				}
-			}
-			if n == 0 {
-				return 0
-			}
-			return sum / float64(n)
-		}
-	}
-	return o
 }
 
 // topoOrder returns every non-terminal task in a topological order
@@ -361,8 +355,8 @@ func topoOrder(s *Simulation) ([]*Task, error) {
 // unitLevels computes the per-level parallelism profile: a unit
 // (compute or ptask) sits one level below its deepest unit ancestor,
 // with comm and seq nodes transparent.
-func unitLevels(topo []*Task) []int {
-	depth := make(map[*Task]int, len(topo))
+func unitLevels(topo []*Task, ntasks int) []int {
+	depth := make([]int, ntasks) // by creation index
 	var levels []int
 	for _, t := range topo {
 		d := 0 // deepest unit-ancestor level + 1, carried through comm/seq
@@ -371,7 +365,7 @@ func unitLevels(topo []*Task) []int {
 			if !ok {
 				break
 			}
-			pd := depth[p]
+			pd := depth[p.id]
 			switch p.kind {
 			case Compute, Parallel:
 				pd++
@@ -380,7 +374,7 @@ func unitLevels(topo []*Task) []int {
 				d = pd
 			}
 		}
-		depth[t] = d
+		depth[t.id] = d
 		if t.kind == Compute || t.kind == Parallel {
 			for len(levels) <= d {
 				levels = append(levels, 0)
@@ -394,13 +388,30 @@ func unitLevels(topo []*Task) []int {
 // heftSpan is one planned busy interval on a host.
 type heftSpan struct{ start, end float64 }
 
+// heftFinish is a task's memoized finish estimate.
+type heftFinish struct {
+	v   float64
+	set bool
+}
+
+// heftInput is one predecessor's share of a task's ready time: its
+// finish estimate and, for a comm predecessor, the comm and its
+// producer's host, whose transfer cost depends on the candidate host.
+type heftInput struct {
+	v    float64
+	comm *Task
+	src  hostRef
+}
+
 // heftPlanner carries the placement state of one HEFT pass.
 type heftPlanner struct {
-	s     *Simulation
 	o     *heftOpts
-	hosts []string
-	slots map[string][]heftSpan // per-host planned intervals, sorted
-	aft   map[*Task]float64     // planned (or actual) finish per task
+	slots [][]heftSpan // per-host planned intervals (by estimator index), sorted by start
+	aft   []heftFinish // planned (or actual) finish, by task creation index
+	ins   []heftInput  // scratch for inputs
+	// unordered: some span has a NaN start (only a NaN cost can do
+	// that), so fit cannot binary-search the spans.
+	unordered bool
 }
 
 // aftOf resolves a predecessor's finish estimate: terminal tasks
@@ -413,8 +424,8 @@ func (p *heftPlanner) aftOf(t *Task) float64 {
 	if t.terminal() {
 		return t.finish
 	}
-	if v, ok := p.aft[t]; ok {
-		return v
+	if f := p.aft[t.id]; f.set {
+		return f.v
 	}
 	v := 0.0
 	switch t.kind {
@@ -461,40 +472,55 @@ func (p *heftPlanner) aftOf(t *Task) float64 {
 		}
 		v += p.o.weight(t)
 	}
-	p.aft[t] = v
+	p.aft[t.id] = heftFinish{v, true}
 	return v
 }
 
-// readyOn is the earliest a task's inputs can be complete on candidate
-// host h: direct predecessors contribute their finish, comm
-// predecessors their producer's finish plus the host-exact transfer
-// cost (zero when the producer already sits on h).
-func (p *heftPlanner) readyOn(t *Task, h string) float64 {
-	ready := 0.0
+// inputs collects a task's ready-time inputs, host-independent parts
+// resolved once: direct predecessors contribute their finish, comm
+// predecessors their producer's finish (the transfer is added per
+// candidate host by readyOn). The slice is reused by the next call.
+func (p *heftPlanner) inputs(t *Task) []heftInput {
+	ins := p.ins[:0]
 	for it := t.predIter(); ; {
 		pr, ok := it.next()
 		if !ok {
 			break
 		}
-		var v float64
-		if pr.kind == Comm {
-			v = 0
-			src := ""
-			for it2 := pr.predIter(); ; {
-				pp, ok2 := it2.next()
-				if !ok2 {
-					break
-				}
-				if a := p.aftOf(pp); a > v {
-					v = a
-				}
-				if src == "" {
-					src = placementHost(pp)
-				}
+		if pr.kind != Comm {
+			ins = append(ins, heftInput{v: p.aftOf(pr)})
+			continue
+		}
+		in := heftInput{comm: pr}
+		src := ""
+		for it2 := pr.predIter(); ; {
+			pp, ok2 := it2.next()
+			if !ok2 {
+				break
 			}
-			v += p.o.commCost(pr, src, h)
-		} else {
-			v = p.aftOf(pr)
+			if a := p.aftOf(pp); a > in.v {
+				in.v = a
+			}
+			if src == "" {
+				src = placementHost(pp)
+			}
+		}
+		in.src = p.o.est.ref(src)
+		ins = append(ins, in)
+	}
+	p.ins = ins
+	return ins
+}
+
+// readyOn is the earliest a task's inputs can be complete on candidate
+// host h: the latest input, comm inputs paying the host-exact transfer
+// cost (zero when the producer already sits on h).
+func (p *heftPlanner) readyOn(ins []heftInput, h hostRef) float64 {
+	ready := 0.0
+	for _, in := range ins {
+		v := in.v
+		if in.comm != nil {
+			v += p.o.commCost(in.comm, in.src, h)
 		}
 		if v > ready {
 			ready = v
@@ -503,12 +529,31 @@ func (p *heftPlanner) readyOn(t *Task, h string) float64 {
 	return ready
 }
 
+// spans returns h's planned intervals.
+func (p *heftPlanner) spans(h hostRef) []heftSpan {
+	if h.i < len(p.slots) {
+		return p.slots[h.i]
+	}
+	return nil
+}
+
 // fit finds the earliest start ≥ ready of a length-w interval on host
 // h under the insertion policy: the first idle gap (including the open
-// tail) that can hold it.
-func (p *heftPlanner) fit(h string, ready, w float64) float64 {
+// tail) that can hold it. A gap ending at a span that starts before
+// ready cannot hold a non-negative length, so a binary search over the
+// start-sorted spans skips those (a negative length, or a NaN start
+// that unsorts the spans, scans them all).
+func (p *heftPlanner) fit(h hostRef, ready, w float64) float64 {
+	spans := p.spans(h)
+	first := 0
+	if !(w < 0) && !p.unordered {
+		first = sort.Search(len(spans), func(i int) bool { return !(spans[i].start < ready) })
+	}
 	prevEnd := 0.0
-	for _, sp := range p.slots[h] {
+	if first > 0 {
+		prevEnd = spans[first-1].end
+	}
+	for _, sp := range spans[first:] {
 		start := prevEnd
 		if ready > start {
 			start = ready
@@ -526,8 +571,14 @@ func (p *heftPlanner) fit(h string, ready, w float64) float64 {
 
 // occupy inserts [start, start+w) into h's interval list, keeping it
 // sorted.
-func (p *heftPlanner) occupy(h string, start, w float64) {
-	spans := p.slots[h]
+func (p *heftPlanner) occupy(h hostRef, start, w float64) {
+	for len(p.slots) <= h.i {
+		p.slots = append(p.slots, nil)
+	}
+	if math.IsNaN(start) {
+		p.unordered = true
+	}
+	spans := p.slots[h.i]
 	i := len(spans)
 	for j, sp := range spans {
 		if start < sp.start {
@@ -538,39 +589,40 @@ func (p *heftPlanner) occupy(h string, start, w float64) {
 	spans = append(spans, heftSpan{})
 	copy(spans[i+1:], spans[i:])
 	spans[i] = heftSpan{start, start + w}
-	p.slots[h] = spans
+	p.slots[h.i] = spans
 }
 
 // placeCompute commits an unplaced compute to its min-EFT host.
 func (p *heftPlanner) placeCompute(t *Task) (PlannedTask, error) {
 	bestEFT, bestStart := math.Inf(1), 0.0
-	bestHost := ""
-	for _, h := range p.hosts {
-		ready := p.readyOn(t, h)
+	best := hostRef{i: -1}
+	ins := p.inputs(t)
+	for _, h := range p.o.est.pool {
+		ready := p.readyOn(ins, h)
 		w := p.o.cost(t, h)
 		start := p.fit(h, ready, w)
 		if eft := start + w; eft < bestEFT {
-			bestEFT, bestStart, bestHost = eft, start, h
+			bestEFT, bestStart, best = eft, start, h
 		}
 	}
-	if err := t.Schedule(bestHost); err != nil {
+	if err := t.Schedule(best.name); err != nil {
 		return PlannedTask{}, err
 	}
-	p.occupy(bestHost, bestStart, bestEFT-bestStart)
-	p.aft[t] = bestEFT
-	return PlannedTask{Task: t, Host: bestHost, Start: bestStart, Finish: bestEFT}, nil
+	p.occupy(best, bestStart, bestEFT-bestStart)
+	p.aft[t.id] = heftFinish{bestEFT, true}
+	return PlannedTask{Task: t, Host: best.name, Start: bestStart, Finish: bestEFT}, nil
 }
 
 // placeFixed plans a compute whose host is already fixed (pre-placed
 // before the HEFT call): same EFT machinery, one candidate.
 func (p *heftPlanner) placeFixed(t *Task) PlannedTask {
-	h := t.host
-	ready := p.readyOn(t, h)
+	h := p.o.est.ref(t.host)
+	ready := p.readyOn(p.inputs(t), h)
 	w := p.o.cost(t, h)
 	start := p.fit(h, ready, w)
 	p.occupy(h, start, w)
-	p.aft[t] = start + w
-	return PlannedTask{Task: t, Host: h, Start: start, Finish: start + w}
+	p.aft[t.id] = heftFinish{start + w, true}
+	return PlannedTask{Task: t, Host: h.name, Start: start, Finish: start + w}
 }
 
 // placePtask plans a (pre-placed) ptask: it must hold all its hosts
@@ -578,18 +630,18 @@ func (p *heftPlanner) placeFixed(t *Task) PlannedTask {
 // every member host's planned tail (append-only — no insertion across
 // k hosts), and occupies the interval on each.
 func (p *heftPlanner) placePtask(t *Task) PlannedTask {
-	start := p.readyOn(t, t.phosts[0])
-	for _, h := range t.phosts {
-		if spans := p.slots[h]; len(spans) > 0 {
+	start := p.readyOn(p.inputs(t), p.o.est.ref(t.phosts[0]))
+	for _, name := range t.phosts {
+		if spans := p.spans(p.o.est.ref(name)); len(spans) > 0 {
 			if tail := spans[len(spans)-1].end; tail > start {
 				start = tail
 			}
 		}
 	}
 	w := p.o.weight(t)
-	for _, h := range t.phosts {
-		p.occupy(h, start, w)
+	for _, name := range t.phosts {
+		p.occupy(p.o.est.ref(name), start, w)
 	}
-	p.aft[t] = start + w
+	p.aft[t.id] = heftFinish{start + w, true}
 	return PlannedTask{Task: t, Host: t.phosts[0], Start: start, Finish: start + w}
 }

@@ -59,15 +59,11 @@ func ScheduleMinMin(s *Simulation, hosts []string) error {
 	if err := placeParallel(s, hosts); err != nil {
 		return err
 	}
-	power := make(map[string]float64, len(hosts))
-	avail := make(map[string]float64, len(hosts))
-	for _, h := range hosts {
-		ph := s.pf.Host(h)
-		if ph == nil {
-			return fmt.Errorf("simdag: unknown host %q", h)
-		}
-		power[h] = ph.Power
+	est, err := newEstimator(s.pf, hosts)
+	if err != nil {
+		return err
 	}
+	avail := make([]float64, est.n) // planned tail per distinct pool host
 
 	estFin := make(map[*Task]float64)
 	// estOf resolves a predecessor's estimated finish: a compute task's
@@ -114,14 +110,14 @@ func ScheduleMinMin(s *Simulation, hosts []string) error {
 				}
 			}
 			if ok && t.kind == Compute {
-				v += t.amount / s.pf.Host(t.host).Power
+				v += est.compute(t.amount, est.ref(t.host))
 			}
 			if ok && t.kind == Parallel {
 				// Crude coupled estimate: total work over the pooled
 				// power of the assigned host set.
 				sum := 0.0
 				for _, h := range t.phosts {
-					sum += s.pf.Host(h).Power
+					sum += est.power[est.ref(h).i]
 				}
 				if sum > 0 {
 					v += t.amount / sum
@@ -132,17 +128,14 @@ func ScheduleMinMin(s *Simulation, hosts []string) error {
 		return v, ok
 	}
 
-	// commCost estimates moving `bytes` from src to dst.
-	commCost := func(src, dst string, bytes float64) float64 {
-		if src == dst || src == "" {
-			return 0
-		}
-		route, err := s.pf.Route(src, dst)
-		if err != nil || len(route.Links) == 0 {
-			return 0
-		}
-		return route.Latency() + bytes/route.Bottleneck()
+	// commIn is a direct comm predecessor of the candidate: its
+	// producer-side estimate and source host, resolved once per round.
+	type commIn struct {
+		v     float64
+		src   hostRef
+		bytes float64
 	}
+	var comms []commIn
 
 	var pending []*Task
 	for _, t := range s.tasks {
@@ -152,12 +145,13 @@ func ScheduleMinMin(s *Simulation, hosts []string) error {
 	}
 	for len(pending) > 0 {
 		bestECT := math.Inf(1)
-		bestIdx, bestHost := -1, ""
+		bestIdx, bestHost := -1, hostRef{}
 		for idx, t := range pending {
 			// Earliest the task's inputs can be complete, excluding the
 			// final wire hop of direct comm predecessors (host-dependent).
 			eligible := true
 			base := 0.0
+			comms = comms[:0]
 			for it := t.predIter(); ; {
 				p, more := it.next()
 				if !more {
@@ -168,34 +162,27 @@ func ScheduleMinMin(s *Simulation, hosts []string) error {
 					eligible = false
 					break
 				}
-				if p.kind != Comm && v > base {
+				if p.kind == Comm {
+					comms = append(comms, commIn{v, est.ref(commSrcHost(p)), p.amount})
+				} else if v > base {
 					base = v
 				}
 			}
 			if !eligible {
 				continue
 			}
-			for _, h := range hosts {
+			for _, h := range est.pool {
 				arrive := base
-				for it := t.predIter(); ; {
-					p, more := it.next()
-					if !more {
-						break
-					}
-					if p.kind != Comm {
-						continue
-					}
-					v, _ := estOf(p)
-					v += commCost(commSrcHost(p), h, p.amount)
-					if v > arrive {
+				for _, c := range comms {
+					if v := c.v + est.transfer(c.src, h, c.bytes); v > arrive {
 						arrive = v
 					}
 				}
 				start := arrive
-				if a := avail[h]; a > start {
+				if a := avail[h.i]; a > start {
 					start = a
 				}
-				ect := start + t.amount/power[h]
+				ect := start + est.compute(t.amount, h)
 				if ect < bestECT {
 					bestECT, bestIdx, bestHost = ect, idx, h
 				}
@@ -205,15 +192,15 @@ func ScheduleMinMin(s *Simulation, hosts []string) error {
 			return fmt.Errorf("simdag: %d compute tasks unschedulable (dangling dependencies)", len(pending))
 		}
 		t := pending[bestIdx]
-		if err := t.Schedule(bestHost); err != nil {
+		if err := t.Schedule(bestHost.name); err != nil {
 			return err
 		}
 		estFin[t] = bestECT
-		avail[bestHost] = bestECT
+		avail[bestHost.i] = bestECT
 		pending = append(pending[:bestIdx], pending[bestIdx+1:]...)
 		// The placement may have made downstream tasks resolvable: drop
 		// the round's memo (committed estimates live in estFin).
-		memo = make(map[*Task]memoEntry)
+		clear(memo)
 	}
 	return placeComms(s)
 }

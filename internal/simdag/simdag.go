@@ -170,6 +170,7 @@ type Task struct {
 	finish  float64
 	err     error
 	watched bool
+	id      int32 // creation index: the task's position in Simulation.tasks
 
 	indeg int // scratch for the cycle check
 
@@ -417,19 +418,24 @@ func (s *Simulation) NewSeqTask(name string) *Task {
 	return t
 }
 
-// taskBlockSize is the task-arena growth quantum.
-const taskBlockSize = 1024
+// Task-arena block sizes: the first block is small, since most DAGs
+// are, and each next block doubles up to taskBlockSize.
+const (
+	taskBlockMin  = 16
+	taskBlockSize = 1024
+)
 
 // add carves a fresh task out of the arena (growing it by whole
-// blocks) and registers it.
+// blocks, never copying one) and registers it.
 func (s *Simulation) add() *Task {
 	if len(s.taskArena) == cap(s.taskArena) {
-		s.taskArena = make([]Task, 0, taskBlockSize)
+		s.taskArena = make([]Task, 0, max(taskBlockMin, min(2*cap(s.taskArena), taskBlockSize)))
 	}
 	s.taskArena = s.taskArena[:len(s.taskArena)+1]
 	t := &s.taskArena[len(s.taskArena)-1]
 	t.sim = s
 	t.priority = 1
+	t.id = int32(len(s.tasks))
 	s.tasks = append(s.tasks, t)
 	return t
 }
